@@ -58,8 +58,8 @@ object TSweepJob extends JobBase {
   def run(spark: SparkSession): String = Experiments.fig8TSweep(spark)
 }
 
-/** Distributed TPA (DataFrame + GraphX engines) on a large analog. */
+/** Distributed TPA (Spark DataFrame engine) on a large analog. */
 object SparkScaleJob extends JobBase {
-  val title = "Distributed TPA (DataFrame / GraphX)"
+  val title = "Distributed TPA (DataFrame)"
   def run(spark: SparkSession): String = SparkScale.run(spark)
 }

@@ -14,10 +14,11 @@ import scala.collection.mutable.ArrayBuffer
   * }}}
   *
   * over the weighted edge table (`w = 1/outdeg(src)`), i.e. a
-  * PageRank-style join–aggregate per superstep. Lineage is truncated
-  * with an eager `localCheckpoint` each iteration (the ‖x‖₁ convergence
-  * check forces an action anyway), and the accumulated score vector is
-  * a final union + groupBy-sum over the retained interim vectors.
+  * PageRank-style join–aggregate per superstep. The superstep count is
+  * fixed up front by [[LocalCpi.lastSuperstep]], so the only Spark
+  * action per superstep is the eager `localCheckpoint` that cuts the
+  * lineage. The accumulated score vector is a final union + groupBy-sum
+  * over the retained interim vectors.
   */
 object Cpi {
 
@@ -29,7 +30,8 @@ object Cpi {
   def uniformSeed(spark: SparkSession, n: Long): DataFrame =
     spark.range(n).select(col("id").as("node"), lit(1.0 / n).as("q"))
 
-  /** Run CPI-IMPL distributed.
+  /** Run CPI-IMPL distributed; it stops where [[LocalCpi.run]] does
+    * (same unit-mass assumption).
     *
     * @param normEdges weighted edges (`src`, `dst`, `w`) from [[repro.graph.GraphGen.normalize]]
     * @param seeds     seed vector as (`node`, `q`) rows (zero entries omitted)
@@ -51,21 +53,15 @@ object Cpi {
       .localCheckpoint(true)
     if (sIter <= 0) parts += x
 
+    val last = LocalCpi.lastSuperstep(c, eps, tIter)
     var iter = 1
-    var done = tIter == 0
-    while (!done) {
-      val nx = normEdges
+    while (iter <= last) {
+      x = normEdges
         .join(x, normEdges("src") === x("node"))
         .groupBy(normEdges("dst").as("node"))
         .agg((sum(col("w") * col("x")) * (1.0 - c)).as("x"))
         .localCheckpoint(true)
-      val norm = nx.agg(sum("x")).first() match {
-        case row if row.isNullAt(0) => 0.0
-        case row                    => row.getDouble(0)
-      }
-      if (iter >= sIter && iter <= tIter) parts += nx
-      x = nx
-      if (norm < eps || iter >= tIter) done = true
+      if (iter >= sIter) parts += x
       iter += 1
     }
 

@@ -24,8 +24,17 @@ object LocalCpi {
 
   /** Run CPI-IMPL.
     *
+    * CPI stops at a superstep fixed before it starts: it accumulates
+    * supersteps `sIter..lastSuperstep(c, eps, tIter)`. That bound assumes
+    * a seed of unit mass on a dangling-free graph, where Lemma 3 gives
+    * `‖x^(i)‖₁ = c(1-c)^i`: it is the first superstep whose iterate has
+    * mass below `eps`. `‖q‖₁` is not checked; a seed of other mass stops
+    * at the same superstep, so a caller that needs another one passes a
+    * finite `tIter`. On a graph with dangling nodes mass leaks, and CPI
+    * still runs the analytic count.
+    *
     * @param g      graph (weights are implicit: 1/outdeg(src))
-    * @param q      seed vector (must sum to 1 for the paper's norm lemmas)
+    * @param q      seed vector (unit mass for the paper's norm lemmas)
     * @param c      restart probability
     * @param eps    convergence tolerance on ‖x^(i)‖₁
     * @param sIter  first accumulated iteration (inclusive)
@@ -43,11 +52,10 @@ object LocalCpi {
     while (i < g.n) { x(i) = q(i) * c; i += 1 }
     if (sIter <= 0) axpy(r, x)
 
+    val last = lastSuperstep(c, eps, tIter)
     var iter = 1
-    var done = tIter == 0
-    while (!done) {
+    while (iter <= last) {
       val nx = new Array[Double](g.n)
-      var norm = 0.0
       var u = 0
       while (u < g.n) {
         val xu = x(u)
@@ -62,11 +70,8 @@ object LocalCpi {
         }
         u += 1
       }
-      u = 0
-      while (u < g.n) { norm += nx(u); u += 1 }
-      if (iter >= sIter && iter <= tIter) axpy(r, nx)
+      if (iter >= sIter) axpy(r, nx)
       x = nx
-      if (norm < eps || iter >= tIter) done = true
       iter += 1
     }
     r
@@ -80,9 +85,18 @@ object LocalCpi {
   def pagerank(g: LocalGraph, c: Double, eps: Double = 1e-9): Array[Double] =
     run(g, uniformSeed(g.n), c, eps, 0, Int.MaxValue)
 
-  /** Number of iterations CPI needs to reach ‖x^(i)‖₁ = c(1-c)^i < eps. */
+  /** Number of iterations CPI needs to reach ‖x^(i)‖₁ = c(1-c)^i < eps:
+    * the first k with `c(1-c)^k < eps ≤ c(1-c)^(k-1)`.
+    */
   def itersToConverge(c: Double, eps: Double): Int =
     math.ceil(math.log(eps / c) / math.log(1.0 - c)).toInt
+
+  /** Last superstep CPI runs for the window ending at `tIter` (0 = none
+    * after x^(0)): `min(tIter, max(1, itersToConverge(c, eps)))`. Both
+    * CPI engines stop here; see [[run]] for the unit-mass assumption.
+    */
+  def lastSuperstep(c: Double, eps: Double, tIter: Int): Int =
+    if (tIter <= 0) 0 else math.min(tIter, math.max(1, itersToConverge(c, eps)))
 
   private def axpy(acc: Array[Double], v: Array[Double]): Unit = {
     var i = 0

@@ -16,9 +16,9 @@ import repro.graph.LocalGraph
 object Tpa {
 
   /** Precomputed TPA model: the approximate stranger vector plus the
-    * (c, S, T) configuration it was built with.
+    * (c, T) configuration it was built with. S is a query parameter.
     */
-  final case class Model(stranger: Array[Double], c: Double, s: Int, t: Int) {
+  final case class Model(stranger: Array[Double], c: Double, t: Int) {
     /** Bytes of preprocessed data (the paper's Fig 3 metric): one double
       * per node for the stranger vector. The graph itself (O(m)) is an
       * input, not preprocessed output, and is charged to every method
@@ -42,7 +42,7 @@ object Tpa {
     * `p_stranger = Σ_{i=T}^{∞} x'^(i)` of the PageRank CPI series.
     */
   def preprocess(g: LocalGraph, c: Double, eps: Double, t: Int): Model =
-    Model(LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, t, Int.MaxValue), c, -1, t)
+    Model(LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, t, Int.MaxValue), c, t)
 
   /** Online phase (Algorithm 3) with the stranger vector from [[preprocess]].
     *

@@ -30,12 +30,4 @@ object TpaSpark {
       .unionByName(stranger.select(col("node"), col("score")))
       .groupBy("node").agg(sum("score").as("score"))
   }
-
-  /** TPA-NA online phase: family + scaled neighbor only. */
-  def onlineNA(spark: SparkSession, normEdges: DataFrame,
-               c: Double, s: Int, t: Int, seed: Long, eps: Double): DataFrame = {
-    val fam = Cpi.run(spark, normEdges, Cpi.unitSeed(spark, seed), c, eps, 0, s - 1)
-    val scale = 1.0 + Tpa.neighborFactor(c, s, t)
-    fam.select(col("node"), (col("score") * scale).as("score"))
-  }
 }

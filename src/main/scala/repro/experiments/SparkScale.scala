@@ -1,17 +1,16 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Cpi, CpiGraphX, Tpa, TpaSpark}
+import repro.core.{Cpi, TpaSpark}
 import repro.graph.{Datasets, DatasetSpec, GraphGen}
 import repro.metrics.Metrics
 
 /** Distributed-dataflow reproduction of the scalability claim: TPA's
   * two phases run as Spark jobs — the stranger phase (PageRank-like CPI
-  * tail) and the family phase as either DataFrame join–aggregate
-  * supersteps or GraphX message passing. Accuracy is checked against
-  * the driver-side exact RWR; times show both engines complete the
-  * phases on the largest analogs, where the dense competitors are
-  * gated out entirely.
+  * tail) and the family phase — as DataFrame join–aggregate supersteps.
+  * Accuracy is checked against the driver-side exact RWR; times show the
+  * engine completes the phases on the largest analogs, where the dense
+  * competitors are gated out entirely.
   */
 object SparkScale {
   import Runner._
@@ -25,7 +24,6 @@ object SparkScale {
     val seed = Datasets.seedNodes(spec, 1).head
     val ex = exact(g, spec, seed)
 
-    // DataFrame engine
     val prepDf = time {
       val df = TpaSpark.preprocess(spark, norm, spec.n.toLong, c, eps, spec.t).persist()
       df.count(); df
@@ -36,29 +34,10 @@ object SparkScale {
         spec.n)
     }
 
-    // GraphX engine
-    val graph = CpiGraphX.build(spark, edges).cache()
-    graph.vertices.count(); graph.edges.count()
-    val prepGx = time {
-      CpiGraphX.toDense(
-        CpiGraphX.run(spark, graph, _ => 1.0 / spec.n, c, eps, spec.t, Int.MaxValue),
-        spec.n)
-    }
-    val onlineGx = time {
-      val fam = CpiGraphX.toDense(
-        CpiGraphX.run(spark, graph, id => if (id == seed) 1.0 else 0.0,
-                      c, eps, 0, spec.s - 1), spec.n)
-      val scale = 1.0 + Tpa.neighborFactor(c, spec.s, spec.t)
-      Array.tabulate(spec.n)(i => fam(i) * scale + prepGx.value(i))
-    }
-
     val rows = Seq(
       Seq("DataFrame", fmtMs(prepDf.ms), fmtMs(onlineDf.ms),
           fmtSci(Metrics.l1(onlineDf.value, ex)),
-          f"${Metrics.spearman(onlineDf.value, ex)}%.4f"),
-      Seq("GraphX", fmtMs(prepGx.ms), fmtMs(onlineGx.ms),
-          fmtSci(Metrics.l1(onlineGx.value, ex)),
-          f"${Metrics.spearman(onlineGx.value, ex)}%.4f"))
+          f"${Metrics.spearman(onlineDf.value, ex)}%.4f"))
     s"dataset: ${spec.name} (n=${spec.n})\n\n" +
       table(Seq("engine", "prep time", "online time", "L1 vs exact", "Spearman"), rows)
   }

@@ -8,8 +8,8 @@ import org.apache.spark.sql.DataFrame
   * walks and backward push, NB-LIN/BEAR dense builds) and for the exact
   * ground-truth RWR (`LocalCpi`) — all of which are inherently
   * single-machine algorithms in their original papers (C++/MATLAB on
-  * one core). The distributed paths (`Cpi`, `CpiGraphX`, `TpaSpark`)
-  * never collect the graph.
+  * one core). The distributed path (`Cpi`, `TpaSpark`) never collects
+  * the graph.
   *
   * `offsets` has length n+1; out-neighbors of `u` are
   * `targets(offsets(u) until offsets(u+1))`.

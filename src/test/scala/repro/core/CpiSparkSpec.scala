@@ -4,9 +4,9 @@ import repro.SparkSpec
 import repro.graph.{GraphGen, LocalGraph}
 import repro.metrics.Metrics
 
-/** The distributed CPI engines (DataFrame and GraphX) agree with the
-  * driver-side reference implementation iteration-for-iteration and at
-  * convergence, and the distributed TPA phases match the local ones.
+/** The distributed CPI engine (DataFrame) agrees with the driver-side
+  * reference implementation iteration-for-iteration and at convergence,
+  * and the distributed TPA phases match the local ones.
   */
 class CpiSparkSpec extends SparkSpec {
   val c = 0.15
@@ -14,7 +14,6 @@ class CpiSparkSpec extends SparkSpec {
   private lazy val edges = GraphGen.rmatGraph(spark, 7, 600, 17).cache()
   private lazy val norm = GraphGen.normalize(edges).cache()
   private lazy val g: LocalGraph = LocalGraph.fromDF(edges, 128)
-  private lazy val graphx = CpiGraphX.build(spark, edges).cache()
 
   for (tIter <- Seq(0, 1, 2, 4, 8)) {
     test(s"DataFrame CPI equals local CPI for iterations 0..$tIter") {
@@ -32,11 +31,12 @@ class CpiSparkSpec extends SparkSpec {
     }
   }
 
-  test("DataFrame CPI converges to exact RWR (ε=1e-4 window)") {
-    val eps = 1e-4
-    val df = Cpi.rwr(spark, norm, 3, c, eps)
-    val local = LocalCpi.run(g, LocalCpi.unitSeed(g.n, 3), c, eps, 0, Int.MaxValue)
-    assert(Metrics.l1(Cpi.toDense(df, g.n), local) < 1e-9)
+  for ((label, eps) <- Seq("1e-4" -> 1e-4, "1e-3" -> 1e-3)) {
+    test(s"DataFrame CPI converges to exact RWR (ε=$label window)") {
+      val df = Cpi.rwr(spark, norm, 3, c, eps)
+      val local = LocalCpi.run(g, LocalCpi.unitSeed(g.n, 3), c, eps, 0, Int.MaxValue)
+      assert(Metrics.l1(Cpi.toDense(df, g.n), local) < 1e-9)
+    }
   }
 
   test("DataFrame PageRank equals local PageRank (ε=1e-4 window)") {
@@ -49,36 +49,6 @@ class CpiSparkSpec extends SparkSpec {
   test("DataFrame CPI with tIter < 0 returns an empty score vector") {
     val df = Cpi.run(spark, norm, Cpi.unitSeed(spark, 0), c, 0.0, 0, -1)
     assert(df.count() == 0)
-  }
-
-  for (tIter <- Seq(0, 2, 8)) {
-    test(s"GraphX CPI equals local CPI for iterations 0..$tIter") {
-      val rdd = CpiGraphX.run(spark, graphx, id => if (id == 5L) 1.0 else 0.0,
-                              c, 0.0, 0, tIter)
-      val local = LocalCpi.run(g, LocalCpi.unitSeed(g.n, 5), c, 0.0, 0, tIter)
-      assert(Metrics.l1(CpiGraphX.toDense(rdd, g.n), local) < 1e-10)
-    }
-  }
-
-  test("GraphX CPI partial window [3,7] equals local") {
-    val rdd = CpiGraphX.run(spark, graphx, id => if (id == 2L) 1.0 else 0.0,
-                            c, 0.0, 3, 7)
-    val local = LocalCpi.run(g, LocalCpi.unitSeed(g.n, 2), c, 0.0, 3, 7)
-    assert(Metrics.l1(CpiGraphX.toDense(rdd, g.n), local) < 1e-10)
-  }
-
-  test("GraphX CPI converges to exact RWR (ε=1e-4 window)") {
-    val eps = 1e-4
-    val rdd = CpiGraphX.rwr(spark, graphx, 7, c, eps)
-    val local = LocalCpi.run(g, LocalCpi.unitSeed(g.n, 7), c, eps, 0, Int.MaxValue)
-    assert(Metrics.l1(CpiGraphX.toDense(rdd, g.n), local) < 1e-9)
-  }
-
-  test("GraphX PageRank equals local PageRank (ε=1e-4 window)") {
-    val eps = 1e-4
-    val rdd = CpiGraphX.pagerank(spark, graphx, g.n.toLong, c, eps)
-    val local = LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, 0, Int.MaxValue)
-    assert(Metrics.l1(CpiGraphX.toDense(rdd, g.n), local) < 1e-9)
   }
 
   test("TpaSpark preprocess equals local stranger vector (ε=1e-4)") {
@@ -96,17 +66,9 @@ class CpiSparkSpec extends SparkSpec {
     val sparkTpa = Cpi.toDense(
       TpaSpark.online(spark, norm, strangerDf, c, s, t, seed.toLong, eps), g.n)
     val localModel = Tpa.Model(
-      LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, t, Int.MaxValue), c, -1, t)
+      LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, t, Int.MaxValue), c, t)
     val localTpa = Tpa.online(g, localModel, s, seed, eps)
     assert(Metrics.l1(sparkTpa, localTpa) < 1e-9)
-  }
-
-  test("TpaSpark onlineNA equals local TPA-NA") {
-    val s = 3; val t = 6; val seed = 4
-    val sparkNa = Cpi.toDense(
-      TpaSpark.onlineNA(spark, norm, c, s, t, seed.toLong, 0.0), g.n)
-    val localNa = Tpa.onlineNA(g, c, s, t, seed, 0.0)
-    assert(Metrics.l1(sparkNa, localNa) < 1e-10)
   }
 
   test("distributed TPA satisfies the Theorem 2 bound (ε=1e-4)") {

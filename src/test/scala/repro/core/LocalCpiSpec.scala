@@ -114,9 +114,20 @@ class LocalCpiSpec extends AnyFunSuite {
   }
 
   test("itersToConverge matches the analytic decay") {
-    val iters = LocalCpi.itersToConverge(c, 1e-9)
-    assert(c * math.pow(1 - c, iters) < 1e-9)
-    assert(c * math.pow(1 - c, iters - 2) >= 1e-9)
+    for (tol <- Seq(1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-12)) {
+      val k = LocalCpi.itersToConverge(c, tol)
+      assert(c * math.pow(1 - c, k) < tol, s"eps=$tol k=$k")
+      assert(tol <= c * math.pow(1 - c, k - 1), s"eps=$tol k=$k")
+    }
+  }
+
+  test("convergence stops at the analytic superstep") {
+    for ((name, g) <- graphs; tol <- Seq(1e-3, 1e-4, 1e-9)) {
+      val q = LocalCpi.unitSeed(g.n, 1)
+      val converged = LocalCpi.run(g, q, c, tol, 0, Int.MaxValue)
+      val fixed = LocalCpi.run(g, q, c, 0.0, 0, LocalCpi.itersToConverge(c, tol))
+      assert(converged.sameElements(fixed), s"$name eps=$tol")
+    }
   }
 
   test("uniform seed equals averaging unit-seed RWRs (linearity)") {
