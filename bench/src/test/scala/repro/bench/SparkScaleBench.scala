@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.experiments.SparkScale
+import repro.core.Tpa
+import repro.experiments.{ExpConfig, SparkScale}
 import repro.graph.Datasets
 
 /** Distributed-dataflow scalability: the Spark DataFrame engine
@@ -12,18 +13,9 @@ import repro.graph.Datasets
 class SparkScaleBench extends BenchBase {
 
   test("distributed TPA (DataFrame) completes on a large analog") {
-    val report = SparkScale.run(spark, Datasets.wikilink)
-    banner("Distributed TPA on wikilink-s", report)
-    // The report embeds L1-vs-exact values; SparkScale already computed
-    // them against the driver-side ground truth. Re-assert the bound via
-    // a cheap parse: every L1 cell must be below the Theorem 2 bound.
-    val bound = repro.core.Tpa.accuracyBound(
-      repro.experiments.ExpConfig.c, Datasets.wikilink.s)
-    val l1s = report.linesIterator
-      .filter(_.startsWith("| DataFrame"))
-      .map(_.split("\\|")(4).trim.toDouble)
-      .toSeq
-    assert(l1s.nonEmpty && l1s.forall(_ <= bound + 1e-6),
-      s"L1 values $l1s exceed bound $bound")
+    val row = SparkScale.run(spark, Datasets.wikilink)
+    banner("Distributed TPA on wikilink-s", SparkScale.report(row))
+    val bound = Tpa.accuracyBound(ExpConfig.c, Datasets.wikilink.s)
+    assert(row.l1 <= bound + 1e-6, s"L1 ${row.l1} exceeds bound $bound")
   }
 }

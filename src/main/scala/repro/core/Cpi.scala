@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.graph.LocalGraph
+
 import scala.collection.mutable.ArrayBuffer
 
 /** Cumulative Power Iteration as a Spark DataFrame (Catalyst) job.
@@ -83,7 +85,7 @@ object Cpi {
   /** Collect a (`node`, `score`) DataFrame into a dense array of length n. */
   def toDense(scores: DataFrame, n: Int): Array[Double] = {
     val arr = new Array[Double](n)
-    scores.collect().foreach(r => arr(r.getLong(0).toInt) = r.getDouble(1))
+    scores.collect().foreach(r => arr(LocalGraph.nodeId(r.getLong(0), n)) = r.getDouble(1))
     arr
   }
 }

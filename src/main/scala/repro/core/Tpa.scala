@@ -49,6 +49,8 @@ object Tpa {
     * r_TPA = r_family · (1 + ‖r_nbr‖₁/‖r_fam‖₁) + p_stranger
     */
   def online(g: LocalGraph, model: Model, s: Int, seed: Int, eps: Double): Array[Double] = {
+    require(model.stranger.length == g.n,
+      s"model has ${model.stranger.length} stranger entries, graph has n=${g.n}")
     val fam = family(g, model.c, s, seed, eps)
     val scale = 1.0 + neighborFactor(model.c, s, model.t)
     val out = new Array[Double](g.n)
@@ -65,6 +67,8 @@ object Tpa {
   }
 
   /** Exact family part `r_family = Σ_{i=0}^{S-1} x^(i)` from seed node. */
-  def family(g: LocalGraph, c: Double, s: Int, seed: Int, eps: Double): Array[Double] =
+  def family(g: LocalGraph, c: Double, s: Int, seed: Int, eps: Double): Array[Double] = {
+    require(seed >= 0 && seed < g.n, s"seed $seed outside [0, ${g.n})")
     LocalCpi.run(g, LocalCpi.unitSeed(g.n, seed), c, eps, 0, s - 1)
+  }
 }

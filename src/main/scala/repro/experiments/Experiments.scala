@@ -2,16 +2,20 @@ package repro.experiments
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{HubPpr, NbLin, BearApprox, Rppr}
-import repro.core.{LocalCpi, Tpa}
-import repro.graph.{Datasets, DatasetSpec, LocalGraph}
+import repro.core.Tpa
+import repro.graph.{Datasets, DatasetSpec, GraphGen, LocalGraph}
 import repro.metrics.Metrics
 
 import scala.collection.mutable
 
 /** One function per reproduced paper exhibit (Table II and Figures 1,
-  * 3–8 rendered as tables of numbers). Each returns a markdown table;
-  * bench suites assert the qualitative claims and print it, jobs just
-  * print it. See DESIGN.md §6 and EXPERIMENTS.md for paper-vs-measured.
+  * 3–8 rendered as tables of numbers), the only place each exhibit is
+  * computed. Figs 6–8 return typed rows that `fig6Table`, `fig7Table`
+  * and `fig8Table` render; the others return their markdown table.
+  * Jobs print the tables; bench suites print the same tables and assert
+  * the qualitative claims on typed values ([[onlineStats]], the `Runner`
+  * caches, the rows). See DESIGN.md §6 and EXPERIMENTS.md for
+  * paper-vs-measured.
   */
 object Experiments {
   import Runner._
@@ -153,8 +157,15 @@ object Experiments {
 
   // ---- Figure 6: neighbor approximation, real-like vs random graphs ----
 
-  def fig6Neighbor(spark: SparkSession): String = {
-    val rows = Datasets.all.map { spec =>
+  /** Fig 6 row: TPA-NA accuracy averaged over seeds, on a dataset's RMAT
+    * analog (real-like) and on its Erdős–Rényi counterpart (random).
+    */
+  final case class NeighborRow(dataset: String, l1Real: Double, l1Random: Double,
+                               spearmanReal: Double, spearmanRandom: Double)
+
+  def fig6Neighbor(spark: SparkSession,
+                   specs: Seq[DatasetSpec] = Datasets.all): Seq[NeighborRow] =
+    specs.map { spec =>
       val gReal = Datasets.local(spark, spec)
       val gRand = Datasets.randomCounterpartLocal(spark, spec)
       val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
@@ -168,19 +179,24 @@ object Experiments {
       }
       val (l1Real, spReal) = run(gReal, cached = true)
       val (l1Rand, spRand) = run(gRand, cached = false)
-      Seq(spec.name, fmtSci(l1Real), fmtSci(l1Rand),
-          f"$spReal%.4f", f"$spRand%.4f")
+      NeighborRow(spec.name, l1Real, l1Rand, spReal, spRand)
     }
+
+  def fig6Table(rows: Seq[NeighborRow]): String =
     table(Seq("dataset", "TPA-NA L1 (real-like)", "TPA-NA L1 (random)",
-              "Spearman (real-like)", "Spearman (random)"), rows)
-  }
+              "Spearman (real-like)", "Spearman (random)"),
+          rows.map(r => Seq(r.dataset, fmtSci(r.l1Real), fmtSci(r.l1Random),
+                            f"${r.spearmanReal}%.4f", f"${r.spearmanRandom}%.4f")))
 
   // ---- Figure 7: effect of S (T = 10) on online time and L1 ----
 
+  /** Fig 7 row: TPA online time and L1 error at one S, averaged over seeds. */
+  final case class SSweepRow(dataset: String, s: Int, avgMs: Double, avgL1: Double)
+
   def fig7SSweep(spark: SparkSession, specs: Seq[DatasetSpec] =
-      Seq(Datasets.livejournal, Datasets.pokec)): String = {
+      Seq(Datasets.livejournal, Datasets.pokec)): Seq[SSweepRow] = {
     val tFixed = 10
-    val rows = for {
+    for {
       spec <- specs
       g = Datasets.local(spark, spec)
       // Reuse the registry stranger vector only when it was built with T=10.
@@ -194,35 +210,56 @@ object Experiments {
         val t = time(Tpa.online(g, model, sVal, s, ExpConfig.eps))
         (t.ms, Metrics.l1(t.value, exact(g, spec, s)))
       }
-      Seq(spec.name, sVal.toString,
-          fmtMs(runs.map(_._1).sum / runs.size),
-          fmtSci(runs.map(_._2).sum / runs.size))
+      SSweepRow(spec.name, sVal, runs.map(_._1).sum / runs.size,
+                runs.map(_._2).sum / runs.size)
     }
-    table(Seq("dataset", "S", "online time", "L1 error"), rows)
   }
+
+  def fig7Table(rows: Seq[SSweepRow]): String =
+    table(Seq("dataset", "S", "online time", "L1 error"),
+          rows.map(r => Seq(r.dataset, r.s.toString, fmtMs(r.avgMs), fmtSci(r.avgL1))))
 
   // ---- Figure 8: effect of T (S = 4) on L1 and Spearman ----
 
+  /** Fig 8 row: TPA L1 error and Spearman at one T, averaged over seeds. */
+  final case class TSweepRow(dataset: String, t: Int, avgL1: Double, avgSpearman: Double)
+
+  /** Dataset name of the Fig 8 rows measured on the strong-community SBM. */
+  val SbmCommunity = "sbm-community"
+
+  /** T sweep on the `specs` analogs, then on a strong-community SBM
+    * (n=4096, 32 blocks, 95% in-block edges). The RMAT analogs mix much
+    * faster than the paper's multi-million-node graphs, so only the
+    * large-T penalty shows on them; the full U-shape needs the locality
+    * the SBM has (EXPERIMENTS.md, Fig 8).
+    */
   def fig8TSweep(spark: SparkSession, specs: Seq[DatasetSpec] =
       Seq(Datasets.livejournal, Datasets.pokec),
-      tValues: Seq[Int] = Seq(4, 5, 6, 8, 10, 15, 20, 30)): String = {
+      tValues: Seq[Int] = Seq(4, 5, 6, 8, 10, 15, 20, 30)): Seq[TSweepRow] = {
     val sFixed = 4
-    val rows = for {
-      spec <- specs
-      g = Datasets.local(spark, spec)
-      tVal <- tValues
-    } yield {
-      val model = Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, tVal)
-      val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
-      val runs = seeds.map { s =>
-        val v = Tpa.online(g, model, sFixed, s, ExpConfig.eps)
-        val ex = exact(g, spec, s)
-        (Metrics.l1(v, ex), Metrics.spearman(v, ex))
+    def sweep(name: String, g: LocalGraph, seeds: Seq[Int],
+              exactOf: Int => Array[Double]): Seq[TSweepRow] =
+      tValues.map { tVal =>
+        val model = Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, tVal)
+        val runs = seeds.map { s =>
+          val v = Tpa.online(g, model, sFixed, s, ExpConfig.eps)
+          val ex = exactOf(s)
+          (Metrics.l1(v, ex), Metrics.spearman(v, ex))
+        }
+        TSweepRow(name, tVal, runs.map(_._1).sum / runs.size,
+                  runs.map(_._2).sum / runs.size)
       }
-      Seq(spec.name, tVal.toString,
-          fmtSci(runs.map(_._1).sum / runs.size),
-          f"${runs.map(_._2).sum / runs.size}%.4f")
+    val analogs = specs.flatMap { spec =>
+      val g = Datasets.local(spark, spec)
+      sweep(spec.name, g, Datasets.seedNodes(spec, ExpConfig.numSeeds), exact(g, spec, _))
     }
-    table(Seq("dataset", "T", "L1 error", "Spearman"), rows)
+    val sbm = GraphGen.communities(4096, 32, 40000, 0.95, 77)
+    val sbmSeeds = Seq(1, 100, 2000, 3000, 4001)
+    val sbmExact = sbmSeeds.map(s => s -> exactOn(sbm, s)).toMap
+    analogs ++ sweep(SbmCommunity, sbm, sbmSeeds, sbmExact)
   }
+
+  def fig8Table(rows: Seq[TSweepRow]): String =
+    table(Seq("dataset", "T", "L1 error", "Spearman"),
+          rows.map(r => Seq(r.dataset, r.t.toString, fmtSci(r.avgL1), f"${r.avgSpearman}%.4f")))
 }

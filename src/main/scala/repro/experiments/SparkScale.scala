@@ -15,7 +15,13 @@ import repro.metrics.Metrics
 object SparkScale {
   import Runner._
 
-  def run(spark: SparkSession, spec: DatasetSpec = Datasets.wikilink): String = {
+  /** One distributed TPA run: preprocessing and online wall clock, and
+    * the online vector's accuracy against the driver-side exact RWR.
+    */
+  final case class Row(dataset: String, n: Int, prepMs: Double, onlineMs: Double,
+                       l1: Double, spearman: Double)
+
+  def run(spark: SparkSession, spec: DatasetSpec = Datasets.wikilink): Row = {
     val c = ExpConfig.c; val eps = ExpConfig.eps
     val edges = Datasets.edges(spark, spec)
     val norm = GraphGen.normalize(edges).persist()
@@ -33,12 +39,13 @@ object SparkScale {
         TpaSpark.online(spark, norm, prepDf.value, c, spec.s, spec.t, seed.toLong, eps),
         spec.n)
     }
-
-    val rows = Seq(
-      Seq("DataFrame", fmtMs(prepDf.ms), fmtMs(onlineDf.ms),
-          fmtSci(Metrics.l1(onlineDf.value, ex)),
-          f"${Metrics.spearman(onlineDf.value, ex)}%.4f"))
-    s"dataset: ${spec.name} (n=${spec.n})\n\n" +
-      table(Seq("engine", "prep time", "online time", "L1 vs exact", "Spearman"), rows)
+    Row(spec.name, spec.n, prepDf.ms, onlineDf.ms,
+        Metrics.l1(onlineDf.value, ex), Metrics.spearman(onlineDf.value, ex))
   }
+
+  def report(r: Row): String =
+    s"dataset: ${r.dataset} (n=${r.n})\n\n" +
+      table(Seq("engine", "prep time", "online time", "L1 vs exact", "Spearman"),
+            Seq(Seq("DataFrame", fmtMs(r.prepMs), fmtMs(r.onlineMs),
+                    fmtSci(r.l1), f"${r.spearman}%.4f")))
 }

@@ -4,19 +4,22 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 
-/** Synthetic graph generators, expressed as Spark DataFrame jobs.
+import scala.collection.mutable
+
+/** Synthetic graph generators.
   *
-  * All generators emit a directed edge list with columns `src`, `dst`
-  * (LongType, node ids in `[0, n)`), deduplicated and free of
-  * self-loops. They are deterministic in their `seed` so the DuckDB
-  * oracle and the local CSR build see identical edges.
+  * The Spark generators emit a directed edge list as a DataFrame with
+  * columns `src`, `dst` (LongType, node ids in `[0, n)`), deduplicated
+  * and free of self-loops. They are deterministic in their `seed` so the
+  * DuckDB oracle and the local CSR build see identical edges.
   *
   * RMAT (Chakrabarti et al.) is the stand-in for the paper's real
   * social/hyperlink graphs: power-law degrees plus hierarchical
   * block (community-like) structure — the property TPA's neighbor
   * approximation exploits. Erdős–Rényi is the "random graph with the
-  * same number of nodes and edges" of the paper's Figure 6. SBM gives
-  * explicit planted communities for targeted tests.
+  * same number of nodes and edges" of the paper's Figure 6. The
+  * driver-side stochastic block model [[communities]] gives explicit
+  * planted communities, for Figure 8 and for tests.
   */
 object GraphGen {
 
@@ -59,29 +62,6 @@ object GraphGen {
       .distinct()
   }
 
-  /** Stochastic block model: `n` nodes in `k` equal blocks; each of the
-    * `mTarget` edge draws stays inside the source's block with
-    * probability `pIn`, otherwise lands uniformly anywhere.
-    */
-  def sbm(spark: SparkSession, n: Long, k: Int, mTarget: Long,
-          pIn: Double, seed: Long): DataFrame = {
-    require(k >= 1 && n % k == 0, s"k=$k must divide n=$n")
-    val blockSize = n / k
-    spark.range(mTarget)
-      .select(
-        (rand(seed) * n).cast(LongType).as("src"),
-        rand(seed + 1).as("inBlock"),
-        rand(seed + 2).as("u"))
-      .select(
-        col("src"),
-        when(col("inBlock") < pIn,
-          (col("src") - (col("src") % blockSize)) + (col("u") * blockSize).cast(LongType))
-          .otherwise((col("u") * n).cast(LongType))
-          .as("dst"))
-      .filter(col("src") =!= col("dst"))
-      .distinct()
-  }
-
   /** Patch dangling nodes (out-degree 0) with a single edge to their
     * successor `(u+1) mod n`, making the transition matrix column
     * stochastic so the paper's norm lemmas (`‖x^(i)‖₁ = c(1-c)^i`) hold
@@ -93,6 +73,38 @@ object GraphGen {
       .join(edges.select("src").distinct(), Seq("src"), "left_anti")
     edges.unionByName(
       dangling.select(col("src"), ((col("src") + 1) % n).as("dst")))
+  }
+
+  /** Driver-side stochastic block model: `k` equal blocks; each of `m`
+    * draws picks a uniform source and stays inside the source's block
+    * with probability `pIn`, otherwise lands uniformly anywhere.
+    * Duplicates and self-loops are dropped (at most `10m` draws), then
+    * dangling nodes are patched as in [[patchDangling]].
+    */
+  def communities(n: Int, k: Int, m: Int, pIn: Double, seed: Long): LocalGraph = {
+    require(k >= 1 && n % k == 0, s"k=$k must divide n=$n")
+    val bs = n / k
+    val rng = new scala.util.Random(seed)
+    val set = mutable.LinkedHashSet.empty[(Int, Int)]
+    var tries = 0
+    while (set.size < m && tries < m * 10) {
+      val u = rng.nextInt(n)
+      val v = if (rng.nextDouble() < pIn) (u / bs) * bs + rng.nextInt(bs)
+              else rng.nextInt(n)
+      if (u != v) set += ((u, v))
+      tries += 1
+    }
+    val pairs = patchDangling(n, set.toSeq)
+    LocalGraph.fromEdges(n, pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+  }
+
+  /** Driver-side [[fixDangling]]: append `(u, (u+1) mod n)` for every
+    * `u` in `[0, n)` that is no source in `pairs`.
+    */
+  def patchDangling(n: Int, pairs: Seq[(Int, Int)]): Seq[(Int, Int)] = {
+    val has = new Array[Boolean](n)
+    pairs.foreach(p => has(p._1) = true)
+    pairs ++ (0 until n).collect { case u if !has(u) => (u, (u + 1) % n) }
   }
 
   /** Row-normalized weights: each edge (src, dst) gets `w = 1/outdeg(src)`,

@@ -51,12 +51,19 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
 
 object LocalGraph {
 
-  /** Build CSR from parallel edge arrays (src(i) -> dst(i)). */
+  /** Build CSR from parallel edge arrays (src(i) -> dst(i)); every id
+    * must lie in `[0, n)`.
+    */
   def fromEdges(n: Int, src: Array[Int], dst: Array[Int]): LocalGraph = {
     require(src.length == dst.length)
     val deg = new Array[Int](n)
     var i = 0
-    while (i < src.length) { deg(src(i)) += 1; i += 1 }
+    while (i < src.length) {
+      val u = src(i); val v = dst(i)
+      require(u >= 0 && u < n, s"edge $i: src id $u outside [0, $n)")
+      require(v >= 0 && v < n, s"edge $i: dst id $v outside [0, $n)")
+      deg(u) += 1; i += 1
+    }
     val offsets = new Array[Int](n + 1)
     i = 0
     while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
@@ -69,6 +76,12 @@ object LocalGraph {
     new LocalGraph(n, offsets, targets)
   }
 
+  /** Narrow a `LongType` node id to an array index in `[0, n)`. */
+  def nodeId(id: Long, n: Int): Int = {
+    require(id >= 0 && id < n, s"node id $id outside [0, $n)")
+    id.toInt
+  }
+
   /** Collect a `(src, dst)` edge DataFrame into a CSR graph with `n` nodes. */
   def fromDF(edges: DataFrame, n: Int): LocalGraph = {
     val rows = edges.select("src", "dst").collect()
@@ -76,8 +89,8 @@ object LocalGraph {
     val dst = new Array[Int](rows.length)
     var i = 0
     while (i < rows.length) {
-      src(i) = rows(i).getLong(0).toInt
-      dst(i) = rows(i).getLong(1).toInt
+      src(i) = nodeId(rows(i).getLong(0), n)
+      dst(i) = nodeId(rows(i).getLong(1), n)
       i += 1
     }
     fromEdges(n, src, dst)

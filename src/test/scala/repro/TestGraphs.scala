@@ -1,6 +1,6 @@
 package repro
 
-import repro.graph.LocalGraph
+import repro.graph.{GraphGen, LocalGraph}
 
 /** Deterministic driver-side graph builders for unit tests (no Spark).
   * All are dangling-free so the paper's norm lemmas hold exactly.
@@ -19,26 +19,7 @@ object TestGraphs {
       if (u != v) set += ((u, v))
       tries += 1
     }
-    fromPairs(n, patchDangling(n, set.toSeq))
-  }
-
-  /** Block-wise digraph: `k` equal communities; each of `m` draws stays
-    * inside the source's community with probability `pIn`.
-    */
-  def communities(n: Int, k: Int, m: Int, pIn: Double, seed: Long): LocalGraph = {
-    require(n % k == 0)
-    val bs = n / k
-    val rng = new scala.util.Random(seed)
-    val set = scala.collection.mutable.LinkedHashSet.empty[(Int, Int)]
-    var tries = 0
-    while (set.size < m && tries < m * 10) {
-      val u = rng.nextInt(n)
-      val v = if (rng.nextDouble() < pIn) (u / bs) * bs + rng.nextInt(bs)
-              else rng.nextInt(n)
-      if (u != v) set += ((u, v))
-      tries += 1
-    }
-    fromPairs(n, patchDangling(n, set.toSeq))
+    fromPairs(n, GraphGen.patchDangling(n, set.toSeq))
   }
 
   /** Directed cycle 0→1→…→n-1→0. */
@@ -61,14 +42,8 @@ object TestGraphs {
       tries += 1
     }
     // make sure every other node has an out-edge
-    val pairs = patchDangling(n - 1, set.toSeq)
+    val pairs = GraphGen.patchDangling(n - 1, set.toSeq)
     fromPairs(n, pairs)
-  }
-
-  private def patchDangling(n: Int, pairs: Seq[(Int, Int)]): Seq[(Int, Int)] = {
-    val has = new Array[Boolean](n)
-    pairs.foreach(p => has(p._1) = true)
-    pairs ++ (0 until n).collect { case u if !has(u) => (u, (u + 1) % n) }
   }
 
   private def fromPairs(n: Int, pairs: Seq[(Int, Int)]): LocalGraph =

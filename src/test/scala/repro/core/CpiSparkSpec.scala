@@ -51,6 +51,13 @@ class CpiSparkSpec extends SparkSpec {
     assert(df.count() == 0)
   }
 
+  test("toDense rejects a node id outside [0, n)") {
+    import spark.implicits._
+    val scores = Seq((1L, 0.5), ((1L << 32) + 1, 0.5)).toDF("node", "score")
+    val e = intercept[IllegalArgumentException](Cpi.toDense(scores, 4))
+    assert(e.getMessage.contains("4294967297"), e.getMessage)
+  }
+
   test("TpaSpark preprocess equals local stranger vector (ε=1e-4)") {
     val eps = 1e-4
     val t = 6

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.graph.GraphGen
 import repro.metrics.Metrics
 
 /** TPA (Algorithms 2 & 3) correctness: the Lemma 2 / Lemma 4 / Theorem 2
@@ -15,7 +16,7 @@ class TpaSpec extends AnyFunSuite {
 
   val graphs = Seq(
     "random-200" -> TestGraphs.random(200, 1200, 11),
-    "communities-300" -> TestGraphs.communities(300, 10, 2400, 0.9, 12),
+    "communities-300" -> GraphGen.communities(300, 10, 2400, 0.9, 12),
     "random-120" -> TestGraphs.random(120, 500, 13))
 
   for ((name, g) <- graphs; seed <- Seq(0, 3, 7, 15, 21, 33, 47, 59, 61, 83)) {
@@ -109,6 +110,16 @@ class TpaSpec extends AnyFunSuite {
   test("neighborFactor rejects invalid S/T") {
     intercept[IllegalArgumentException](Tpa.neighborFactor(c, 0, 5))
     intercept[IllegalArgumentException](Tpa.neighborFactor(c, 5, 4))
+    // the model must match the graph, and the seed must be one of its nodes
+    val g = graphs.head._2
+    val model = Tpa.preprocess(g, c, eps, 10)
+    for (stranger <- Seq(model.stranger :+ 0.0, model.stranger.init)) {
+      val e = intercept[IllegalArgumentException](
+        Tpa.online(g, model.copy(stranger = stranger), 4, 0, eps))
+      assert(e.getMessage.contains(s"n=${g.n}"), e.getMessage)
+    }
+    for (seed <- Seq(-1, g.n))
+      intercept[IllegalArgumentException](Tpa.online(g, model, 4, seed, eps))
   }
 
   test("Model.memoryBytes is 8 bytes per node") {

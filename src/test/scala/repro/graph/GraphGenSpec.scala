@@ -11,10 +11,8 @@ class GraphGenSpec extends SparkSpec {
 
   private lazy val rmatE = GraphGen.rmat(spark, 8, 1500, 7).cache()
   private lazy val erE = GraphGen.erdosRenyi(spark, 256, 1500, 7).cache()
-  private lazy val sbmE = GraphGen.sbm(spark, 256, 8, 1500, 0.9, 7).cache()
 
-  for ((name, df) <- Seq("rmat" -> (() => rmatE), "er" -> (() => erE),
-                         "sbm" -> (() => sbmE))) {
+  for ((name, df) <- Seq("rmat" -> (() => rmatE), "er" -> (() => erE))) {
     test(s"$name: node ids lie in [0, n)") {
       val mm = df().agg(min("src"), max("src"), min("dst"), max("dst")).first()
       assert(mm.getLong(0) >= 0 && mm.getLong(1) < 256)
@@ -77,12 +75,13 @@ class GraphGenSpec extends SparkSpec {
     assert(maxInDeg(rmatE) > 2 * maxInDeg(erE))
   }
 
-  test("sbm keeps most edges within blocks") {
+  test("communities keeps most edges within blocks") {
     val bs = 256 / 8
-    val within = sbmE.filter((col("src") / bs).cast("long") ===
-                             (col("dst") / bs).cast("long")).count()
-    val total = sbmE.count()
-    assert(within.toDouble / total > 0.6, s"within=$within total=$total")
+    val g = GraphGen.communities(256, 8, 1500, 0.9, 7)
+    var within = 0
+    for (u <- 0 until g.n) g.foreachOut(u)(v => if (u / bs == v / bs) within += 1)
+    assert(within.toDouble / g.m > 0.6, s"within=$within total=${g.m}")
+    assert((0 until g.n).forall(g.outDeg(_) >= 1)) // dangling-patched
   }
 
   test("er spreads edges across blocks") {
@@ -101,6 +100,13 @@ class GraphGenSpec extends SparkSpec {
       .map(r => r.getLong(0).toInt -> r.getLong(1).toInt).toMap
     for (u <- 0 until 256)
       assert(g.outDeg(u) == sparkDeg.getOrElse(u, 0))
+  }
+
+  test("LocalGraph.fromDF rejects a node id outside [0, n)") {
+    import spark.implicits._
+    val edges = Seq((0L, 1L), (1L, (1L << 32) + 2)).toDF("src", "dst")
+    val e = intercept[IllegalArgumentException](LocalGraph.fromDF(edges, 4))
+    assert(e.getMessage.contains("4294967298"), e.getMessage)
   }
 
   test("dataset registry analogs materialize with expected density") {

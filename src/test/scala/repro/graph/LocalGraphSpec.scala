@@ -62,6 +62,13 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.m == 0 && (0 until 5).forall(g.outDeg(_) == 0))
   }
 
+  test("fromEdges rejects an id outside [0, n)") {
+    for ((src, dst, id) <- Seq((Array(0, 5), Array(1, 2), 5), (Array(0, 1), Array(1, -1), -1))) {
+      val e = intercept[IllegalArgumentException](LocalGraph.fromEdges(5, src, dst))
+      assert(e.getMessage.contains(s"id $id "), e.getMessage)
+    }
+  }
+
   test("offsets length is validated") {
     intercept[IllegalArgumentException] {
       new LocalGraph(3, Array(0, 1), Array(0))
